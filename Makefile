@@ -97,6 +97,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/loopnest/
 	$(GO) test -fuzz=FuzzVerifyVsBruteForce -fuzztime=30s ./internal/verify/
 	$(GO) test -fuzz=FuzzClosedFormGamma -fuzztime=30s ./internal/verify/
+	$(GO) test -fuzz=FuzzPiLadder -fuzztime=30s ./internal/schedule/
 
 cover:
 	$(GO) test -cover ./...

@@ -442,12 +442,14 @@ func BenchmarkBitSerialMatMul(b *testing.B) {
 }
 
 // BenchmarkJointMapping measures the Problem 6.2 engine (X6): the full
-// joint (S, Π) search on the two flagship algorithms, sequentially and
-// with the outer candidate loop fanned across NumCPU workers. The log
-// line reports the search effort — candidates enumerated versus pruned
+// joint (S, Π) search on the two flagship algorithms and a small
+// bit-level convolution (the Theorem 4.7/4.8 regime, where the inner
+// searches share the most Π ladder levels), sequentially and with the
+// outer candidate loop fanned across NumCPU workers. The log line
+// reports the search effort — candidates enumerated versus pruned
 // before evaluation — and the invariant winner.
 func BenchmarkJointMapping(b *testing.B) {
-	algos := []*uda.Algorithm{uda.MatMul(4), uda.TransitiveClosure(4)}
+	algos := []*uda.Algorithm{uda.MatMul(4), uda.TransitiveClosure(4), uda.BitLevelConvolution(2, 2, 2)}
 	for _, algo := range algos {
 		for _, workers := range []int{1, runtime.NumCPU()} {
 			b.Run(fmt.Sprintf("%s/workers=%d", algo.Name, workers), func(b *testing.B) {
@@ -474,9 +476,11 @@ func BenchmarkJointMapping(b *testing.B) {
 // full non-dominated front over (time, processors, buffers, links) at
 // slack 0 (time-optimal members only) and slack 2 (widened window).
 // The front's head must reproduce the single-objective optimum — the
-// multi-objective sweep costs extra bookkeeping, never optimality.
+// multi-objective sweep costs extra bookkeeping, never optimality. The
+// bit-level convolution row is the same instance as in
+// BenchmarkJointMapping.
 func BenchmarkPareto(b *testing.B) {
-	algos := []*uda.Algorithm{uda.MatMul(4), uda.TransitiveClosure(4)}
+	algos := []*uda.Algorithm{uda.MatMul(4), uda.TransitiveClosure(4), uda.BitLevelConvolution(2, 2, 2)}
 	for _, algo := range algos {
 		joint, err := schedule.FindJointMapping(algo, 1, nil)
 		if err != nil {

@@ -149,6 +149,10 @@ func TestStatsJSONJoint(t *testing.T) {
 	if st.SpaceCandidates < 1 || st.ScheduleCandidates < 1 || st.CostLevels < 1 {
 		t.Errorf("effort counters empty: %+v", st)
 	}
+	// matmul's ladder rejects every Π with a non-positive entry.
+	if st.DependenceRejects < 1 || st.DependenceRejects >= st.ScheduleCandidates {
+		t.Errorf("dependence_rejects = %d of %d schedule candidates", st.DependenceRejects, st.ScheduleCandidates)
+	}
 }
 
 // TestStatsText: the one-line text summary appears with -stats, and
@@ -162,6 +166,9 @@ func TestStatsText(t *testing.T) {
 	})
 	if !strings.Contains(out, "search stats: engine=procedure-5.1") {
 		t.Errorf("no stats line in text output:\n%s", out)
+	}
+	if !strings.Contains(out, " dep_rejects=") {
+		t.Errorf("stats line lacks the ΠD > 0 reject count:\n%s", out)
 	}
 	// The ILP engine either reports nothing (pure ILP path) or falls
 	// back to Procedure 5.1 and reports that engine's stats; both print

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"context"
 	"fmt"
 
 	"lodim/internal/conflict"
@@ -264,14 +265,15 @@ func findWeightedEnum(algo *uda.Algorithm, s *intmat.Matrix, wTime, wBuf int64, 
 		maxCost = defaultMaxCost(algo.Set)
 	}
 	cctx := newCandCtx(algo, s, opts, analyzer)
+	ladder := newPiLadder(algo, 0) // each level is visited once
 	var best *Result
 	var bestObj int64
 	for cost := int64(1); cost <= maxCost; cost++ {
 		if best != nil && wTime*(1+cost) >= bestObj {
 			break
 		}
-		enumerate(algo.Set.Upper, cost, func(pi intmat.Vector) bool {
-			r, ok := cctx.try(pi)
+		_, _, err := ladder.scan(context.Background(), cost, func(pi intmat.Vector) bool {
+			r, ok := cctx.tryWith(pi, nil)
 			if !ok {
 				return true
 			}
@@ -281,7 +283,10 @@ func findWeightedEnum(algo *uda.Algorithm, s *intmat.Matrix, wTime, wBuf int64, 
 			}
 			return true
 		})
-		if err := cctx.takeErr(); err != nil {
+		if err == nil {
+			err = cctx.takeErr()
+		}
+		if err != nil {
 			return nil, err
 		}
 	}

@@ -286,10 +286,14 @@ func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, 
 	if baseMaxCost == 0 {
 		baseMaxCost = defaultMaxCost(algo.Set)
 	}
-	// No Π satisfies ΠD > 0 below this objective level, so every
-	// candidate starts its level scan there; −1 proves infeasibility
-	// outright.
-	floor := minValidCost(algo, baseMaxCost)
+	// One Π ladder serves every per-S level scan. No Π satisfies
+	// ΠD > 0 below its first non-empty level, so every candidate starts
+	// its scan there; −1 proves infeasibility outright.
+	ladder := newPiLadder(algo, baseMaxCost)
+	floor, err := ladder.floor(ctx, baseMaxCost)
+	if err != nil {
+		return nil, fmt.Errorf("schedule: pareto search: %w", err)
+	}
 	if floor < 0 {
 		return nil, fmt.Errorf("%w: no Π with ΠD > 0 and Σ|π_i|·μ_i ≤ %d", ErrNoSchedule, baseMaxCost)
 	}
@@ -338,7 +342,12 @@ func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, 
 			conflict.PutScratch(sc)
 		}()
 		procs := countProcessorImages(s, algo.Set)
-		links := linkCount(s, algo.D)
+		links, err := linkCount(s, algo.D)
+		if err != nil {
+			errs[i] = err
+			cancelSearch()
+			return
+		}
 		stats.innerSearches.Add(1)
 		// Per-S staircase: time strictly increases with the level, and
 		// processors/links are fixed by S, so a level's winner enters
@@ -352,17 +361,12 @@ func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, 
 			stats.costLevels.Add(1)
 			var lvlMapping *Mapping
 			var lvlBuf int64
-			tried := 0
-			enumerate(algo.Set.Upper, cost, func(pi intmat.Vector) bool {
-				tried++
-				if tried&ctxCheckMask == 0 && wctx.Err() != nil {
-					return false
-				}
+			raw, valid, err := ladder.scan(wctx, cost, func(pi intmat.Vector) bool {
 				r, ok := cctx.tryWith(pi, sc)
 				if !ok {
 					return true
 				}
-				// enumerate visits Π in lexicographic order, so a
+				// The ladder lists Π in lexicographic order, so a
 				// strict < keeps the lex-least among equal-buffer
 				// winners of the level.
 				if b := bufferDepth(pi, cctx.depCols); lvlMapping == nil || b < lvlBuf {
@@ -370,13 +374,14 @@ func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, 
 				}
 				return true
 			})
-			stats.scheduleCandidates.Add(int64(tried))
-			if err := cctx.takeErr(); err != nil {
+			stats.scheduleCandidates.Add(raw)
+			stats.dependenceRejects.Add(raw - valid)
+			if err == nil {
+				err = cctx.takeErr()
+			}
+			if err != nil {
 				errs[i] = err
 				cancelSearch()
-				return
-			}
-			if wctx.Err() != nil {
 				return
 			}
 			if lvlMapping == nil {
@@ -467,18 +472,22 @@ func FindParetoContext(ctx context.Context, algo *uda.Algorithm, arrayDims int, 
 
 // bufferDepth is Σ_i (Π·d̄_i − 1) over the cached dependence columns.
 // Every term is ≥ 0 for a valid Π (ΠD > 0 integral means Π·d̄_i ≥ 1).
+// The sum is checked: it panics with *OverflowError, which the Π
+// ladder's scan returns as an error.
 func bufferDepth(pi intmat.Vector, depCols []intmat.Vector) int64 {
 	var total int64
 	for _, d := range depCols {
-		total += pi.Dot(d) - 1
+		total = intmat.AddChecked(total, pi.Dot(d)-1)
 	}
 	return total
 }
 
 // linkCount returns the number of distinct non-zero columns of S·D:
 // dependences routed identically share a link class; a zero column is
-// cell-local and needs no wire.
-func linkCount(s *intmat.Matrix, d *intmat.Matrix) int64 {
+// cell-local and needs no wire. It returns an *OverflowError when S·D
+// leaves int64.
+func linkCount(s *intmat.Matrix, d *intmat.Matrix) (_ int64, err error) {
+	defer intmat.Guard(&err)
 	sd := s.Mul(d)
 	seen := make(map[string]struct{}, sd.Cols())
 	for i := 0; i < sd.Cols(); i++ {
@@ -488,7 +497,7 @@ func linkCount(s *intmat.Matrix, d *intmat.Matrix) int64 {
 		}
 		seen[col.String()] = struct{}{}
 	}
-	return int64(len(seen))
+	return int64(len(seen)), nil
 }
 
 // offerMin lowers v to x if x is smaller (atomic CAS loop).

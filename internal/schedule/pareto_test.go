@@ -167,7 +167,7 @@ func TestFindParetoMatmulFront(t *testing.T) {
 // without slack. This also locks the archive against
 // discovery-order tie-breaking.
 func TestFindParetoWorkerInvariance(t *testing.T) {
-	algos := []*uda.Algorithm{uda.MatMul(3), uda.TransitiveClosure(2), uda.Convolution(3, 2)}
+	algos := []*uda.Algorithm{uda.MatMul(3), uda.TransitiveClosure(2), uda.Convolution(3, 2), uda.BitLevelConvolution(2, 2, 1)}
 	for _, algo := range algos {
 		for _, slack := range []int64{0, 4} {
 			seq, err := FindPareto(algo, 1, &ParetoOptions{TimeSlack: slack})

@@ -58,7 +58,7 @@ func FindOptimalContext(ctx context.Context, algo *uda.Algorithm, s *intmat.Matr
 			return nil, err
 		}
 	}
-	return findOptimalWith(ctx, algo, s, opts, analyzer, nil)
+	return findOptimalWith(ctx, algo, s, opts, analyzer, nil, nil)
 }
 
 // ctxCheckMask paces the in-level cancellation checks: ctx.Err() takes
@@ -72,11 +72,17 @@ const ctxCheckMask = 255
 // shares it between this search and the array-metric evaluation, so the
 // Π-independent Hermite work happens exactly once per S.
 //
+// ladder, when non-nil, is the caller's Π ladder for algo (the joint
+// optimizer shares one across all inner searches); when nil the engine
+// visits each level once and streams it through a ladder of its own
+// that stores nothing. Either way the candidates are read from the
+// ladder, which has already applied the ΠD > 0 test.
+//
 // stats, when non-nil, is a shared collector the engine accumulates
 // candidate and level counts into (the joint optimizer passes one
 // collector across all inner searches); when nil the engine owns a
 // fresh collector and attaches its snapshot to the winning Result.
-func findOptimalWith(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix, opts *Options, analyzer *conflict.SpaceAnalyzer, stats *statsCollector) (_ *Result, err error) {
+func findOptimalWith(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix, opts *Options, analyzer *conflict.SpaceAnalyzer, stats *statsCollector, ladder *piLadder) (_ *Result, err error) {
 	ownStats := stats == nil
 	if ownStats {
 		stats = &statsCollector{}
@@ -97,7 +103,6 @@ func findOptimalWith(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix,
 		span.End()
 	}()
 	startAt := time.Now()
-	n := algo.Dim()
 	maxCost := opts.MaxCost
 	if maxCost == 0 {
 		maxCost = defaultMaxCost(algo.Set)
@@ -137,8 +142,11 @@ func findOptimalWith(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix,
 	if len(scs) > 0 {
 		seqScratch = scs[0]
 	}
+	if ladder == nil {
+		ladder = newPiLadder(algo, 0)
+	}
 	var found *Result
-	var levelBuf []int64 // reused flat storage for level-mode candidates
+	rejects := int64(0)
 	for cost := minCost; cost <= maxCost && found == nil; cost++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -160,20 +168,16 @@ func findOptimalWith(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix,
 			levelSpan.End()
 		}
 		if opts.Workers > 1 || opts.MinimizeBuffers {
-			// Level-synchronous evaluation: materialize the level into a
-			// reused flat buffer, test candidates (in parallel when
-			// configured), then apply the deterministic selection rule
-			// over all passers.
-			levelBuf = levelBuf[:0]
-			enumerate(algo.Set.Upper, cost, func(pi intmat.Vector) bool {
-				levelBuf = append(levelBuf, pi...)
-				return true
-			})
-			level := make([]intmat.Vector, len(levelBuf)/n)
-			for i := range level {
-				level[i] = intmat.Vector(levelBuf[i*n : (i+1)*n])
+			// Level-synchronous evaluation: test the ladder level's
+			// candidates (in parallel when configured), then apply the
+			// deterministic selection rule over all passers.
+			level, raw, err := ladder.collect(ctx, cost)
+			if err != nil {
+				endLevel()
+				return nil, err
 			}
-			candidates += len(level)
+			candidates += int(raw)
+			rejects += raw - int64(len(level))
 			results := evaluateLevel(ctx, level, cctx, scs)
 			// A context that ended mid-level may have left earlier
 			// (potentially winning) candidates unevaluated, so the
@@ -189,13 +193,7 @@ func findOptimalWith(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix,
 		}
 		// Sequential fast path: the first passer in enumeration order
 		// wins, so evaluation can stop early.
-		interrupted := false
-		enumerate(algo.Set.Upper, cost, func(pi intmat.Vector) bool {
-			candidates++
-			if candidates&ctxCheckMask == 0 && ctx.Err() != nil {
-				interrupted = true
-				return false
-			}
+		raw, valid, err := ladder.scan(ctx, cost, func(pi intmat.Vector) bool {
 			r, ok := cctx.tryWith(pi, seqScratch)
 			if !ok {
 				return true
@@ -203,12 +201,15 @@ func findOptimalWith(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix,
 			found = r
 			return false
 		})
+		candidates += int(raw)
+		rejects += raw - valid
 		endLevel()
-		if interrupted {
-			return nil, ctx.Err()
+		if err != nil {
+			return nil, err
 		}
 	}
 	stats.scheduleCandidates.Add(int64(candidates))
+	stats.dependenceRejects.Add(rejects)
 	for _, sc := range scs {
 		stats.drainScratch(sc)
 	}
@@ -408,23 +409,26 @@ func tryCandidate(algo *uda.Algorithm, s *intmat.Matrix, pi intmat.Vector, opts 
 	return newCandCtx(algo, s, opts, nil).try(pi)
 }
 
-// try applies the four tests of Procedure 5.1's step 5 to a single Π,
-// using the pre-built factored analyzer when available. The analyzer
-// also subsumes the rank(T) = k test: it reports ErrRank exactly when Π
-// is a rational combination of S's rows.
+// try applies the four tests of Procedure 5.1's step 5 to an arbitrary
+// Π — the ILP paths' witnesses, which do not come from a Π ladder and
+// so still need the ΠD > 0 test here.
 func (c *candCtx) try(pi intmat.Vector) (*Result, bool) {
-	return c.tryWith(pi, nil)
-}
-
-// tryWith is try with an optional per-worker conflict scratch, which
-// routes the decision through the arena-backed incremental path
-// (conflict.DecideScratch). The verdict is identical either way; only
-// the allocation profile and the informational Method/Witness of the
-// conflict Result can differ.
-func (c *candCtx) tryWith(pi intmat.Vector, sc *conflict.Scratch) (*Result, bool) {
 	if !c.valid(pi) {
 		return nil, false
 	}
+	return c.tryWith(pi, nil)
+}
+
+// tryWith applies tests 2–4 of Procedure 5.1's step 5 to a Π read from
+// a Π ladder, which has already established ΠD > 0. It uses the
+// pre-built factored analyzer when available; the analyzer also
+// subsumes the rank(T) = k test: it reports ErrRank exactly when Π is a
+// rational combination of S's rows. The optional per-worker conflict
+// scratch routes the decision through the arena-backed incremental
+// path (conflict.DecideScratch). The verdict is identical either way;
+// only the allocation profile and the informational Method/Witness of
+// the conflict Result can differ.
+func (c *candCtx) tryWith(pi intmat.Vector, sc *conflict.Scratch) (*Result, bool) {
 	algo, s, opts := c.algo, c.s, c.opts
 	var res conflict.Result
 	var err error

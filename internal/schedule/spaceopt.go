@@ -155,10 +155,13 @@ func FindSpaceMappingContext(ctx context.Context, algo *uda.Algorithm, pi intmat
 	stats.spaceCandidates.Add(int64(len(cands)))
 	weight := wireWeightOrDefault(opts)
 	results := make([]*SpaceResult, len(cands))
+	errs := make([]error, len(cands))
 	var bestCost, prunedCount atomic.Int64
 	bestCost.Store(math.MaxInt64)
+	searchCtx, cancelSearch := context.WithCancel(ctx)
+	defer cancelSearch()
 	searchAt := time.Now()
-	forEachCandidate(ctx, len(cands), opts.Schedule.Workers, func(_ context.Context, i int) {
+	forEachCandidate(searchCtx, len(cands), opts.Schedule.Workers, func(_ context.Context, i int) {
 		s := cands[i]
 		if symPruned[i] {
 			prunedCount.Add(1)
@@ -170,15 +173,25 @@ func FindSpaceMappingContext(ctx context.Context, algo *uda.Algorithm, pi intmat
 			// bound plus its exact wire term; the incumbent only
 			// decreases, so a strict > here can never discard a
 			// candidate tying the final minimum.
-			lb := processorLowerBound(s, algo.Set.Upper) + weight*wireLength(s, algo.D)
+			_, lb, err := costLowerBound(s, algo, weight)
+			if err != nil {
+				errs[i] = err
+				cancelSearch()
+				return
+			}
 			if lb > bestCost.Load() {
 				prunedCount.Add(1)
 				stats.prunedLowerBound.Add(1)
 				return
 			}
 		}
-		r, ok := evaluateSpaceMapping(algo, s, pi, opts)
-		if !ok {
+		r, err := evaluateSpaceMapping(algo, s, pi, opts)
+		if err != nil {
+			errs[i] = err
+			cancelSearch()
+			return
+		}
+		if r == nil {
 			return
 		}
 		results[i] = r
@@ -189,6 +202,11 @@ func FindSpaceMappingContext(ctx context.Context, algo *uda.Algorithm, pi intmat
 			}
 		}
 	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("schedule: space search: %w", err)
+		}
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("schedule: space search: %w", err)
 	}
@@ -299,14 +317,21 @@ func FindJointMappingContext(ctx context.Context, algo *uda.Algorithm, arrayDims
 	if baseMaxCost == 0 {
 		baseMaxCost = defaultMaxCost(algo.Set)
 	}
+	// One Π ladder serves every inner search: the enumeration and its
+	// ΠD > 0 filter do not depend on S.
+	ladder := newPiLadder(algo, baseMaxCost)
 	// tFloor is a lower bound on the total time of *any* candidate: the
-	// cheapest Π satisfying ΠD > 0 alone (ignoring conflicts). Once the
-	// incumbent reaches it, time cannot improve further, so candidates
-	// whose cost lower bound loses the tie-break skip their inner
-	// search entirely.
+	// ladder's first non-empty level, the cheapest Π satisfying ΠD > 0
+	// alone (ignoring conflicts). Once the incumbent reaches it, time
+	// cannot improve further, so candidates whose cost lower bound
+	// loses the tie-break skip their inner search entirely.
 	tFloor := int64(-1)
 	if !opts.NoPrune {
-		if c := minValidCost(algo, baseMaxCost); c > 0 {
+		c, err := ladder.floor(ctx, baseMaxCost)
+		if err != nil {
+			return nil, fmt.Errorf("schedule: joint search: %w", err)
+		}
+		if c > 0 {
 			tFloor = 1 + c
 		}
 	}
@@ -328,8 +353,12 @@ func FindJointMappingContext(ctx context.Context, algo *uda.Algorithm, arrayDims
 			stats.prunedOrbit.Add(1)
 			return
 		}
-		wire := wireLength(s, algo.D)
-		costLB := processorLowerBound(s, algo.Set.Upper) + weight*wire
+		wire, costLB, err := costLowerBound(s, algo, weight)
+		if err != nil {
+			errs[i] = err
+			cancelSearch()
+			return
+		}
 		if !opts.NoPrune && tFloor > 0 {
 			if iT, iC := inc.snapshot(); iT <= tFloor && costLB > iC {
 				prunedCount.Add(1)
@@ -366,7 +395,7 @@ func FindJointMappingContext(ctx context.Context, algo *uda.Algorithm, arrayDims
 		}
 		schedOpts.MaxCost = bound
 		stats.innerSearches.Add(1)
-		res, err := findOptimalWith(wctx, algo, s, &schedOpts, analyzer, stats)
+		res, err := findOptimalWith(wctx, algo, s, &schedOpts, analyzer, stats, ladder)
 		if err != nil {
 			if errors.Is(err, ErrNoSchedule) {
 				return // bounded out or genuinely unschedulable: skip
@@ -385,7 +414,12 @@ func FindJointMappingContext(ctx context.Context, algo *uda.Algorithm, arrayDims
 			return // can only tie on time and already loses on cost
 		}
 		procs := countProcessorImages(s, algo.Set)
-		cost := procs + weight*wire
+		cost, err := arrayCost(procs, weight, wire)
+		if err != nil {
+			errs[i] = err
+			cancelSearch()
+			return
+		}
 		results[i] = &JointResult{
 			SpaceResult: SpaceResult{
 				Mapping:    res.Mapping,
@@ -570,67 +604,42 @@ func forEachCandidate(ctx context.Context, count, workers int, fn func(ctx conte
 	wg.Wait()
 }
 
-// minValidCost returns the smallest objective Σ|π_i|·μ_i of any Π with
-// ΠD > 0, ignoring conflict-freeness — so 1 + minValidCost lower-bounds
-// the total time of every candidate's optimal schedule. Returns −1 when
-// no valid Π exists within maxCost.
-func minValidCost(algo *uda.Algorithm, maxCost int64) int64 {
-	cols := make([]intmat.Vector, algo.NumDeps())
-	for i := range cols {
-		cols[i] = algo.D.Col(i)
-	}
-	for cost := int64(1); cost <= maxCost; cost++ {
-		found := false
-		enumerate(algo.Set.Upper, cost, func(pi intmat.Vector) bool {
-			for _, d := range cols {
-				if pi.Dot(d) <= 0 {
-					return true
-				}
-			}
-			found = true
-			return false
-		})
-		if found {
-			return cost
-		}
-	}
-	return -1
-}
-
 // evaluateSpaceMapping checks validity and conflict-freeness of [S; Π]
-// and computes the Problem 6.1 metrics.
-func evaluateSpaceMapping(algo *uda.Algorithm, s *intmat.Matrix, pi intmat.Vector, opts *SpaceOptions) (*SpaceResult, bool) {
+// and computes the Problem 6.1 metrics. It returns nil for a rejected
+// S, and an *OverflowError when the array metrics leave int64. The
+// analyzer's Decide subsumes the rank(T) = k test (ErrRank when Π lies
+// in the row space of S).
+func evaluateSpaceMapping(algo *uda.Algorithm, s *intmat.Matrix, pi intmat.Vector, opts *SpaceOptions) (*SpaceResult, error) {
 	analyzer, err := conflict.NewSpaceAnalyzer(s, algo.Set)
 	if err != nil {
-		return nil, false
+		return nil, nil
 	}
-	return evaluateSpaceMappingWith(algo, s, pi, opts, analyzer)
-}
-
-// evaluateSpaceMappingWith is evaluateSpaceMapping on a pre-built
-// analyzer for S. The analyzer's Decide subsumes the rank(T) = k test
-// (ErrRank when Π lies in the row space of S).
-func evaluateSpaceMappingWith(algo *uda.Algorithm, s *intmat.Matrix, pi intmat.Vector, opts *SpaceOptions, analyzer *conflict.SpaceAnalyzer) (*SpaceResult, bool) {
 	res, err := analyzer.Decide(pi)
 	if err != nil || !res.ConflictFree {
-		return nil, false
+		return nil, nil
 	}
 	m := &Mapping{Algo: algo, S: s.Clone(), Pi: pi.Clone(), T: s.AppendRow(pi)}
 	if opts.Schedule.Machine != nil {
 		if _, err := opts.Schedule.Machine.Decompose(s, algo.D, pi); err != nil {
-			return nil, false
+			return nil, nil
 		}
 	}
 	procs := countProcessorImages(s, algo.Set)
-	wire := wireLength(s, algo.D)
-	weight := wireWeightOrDefault(opts)
+	wire, err := wireLength(s, algo.D)
+	if err != nil {
+		return nil, err
+	}
+	cost, err := arrayCost(procs, wireWeightOrDefault(opts), wire)
+	if err != nil {
+		return nil, err
+	}
 	return &SpaceResult{
 		Mapping:    m,
 		Processors: procs,
 		WireLength: wire,
-		Cost:       procs + weight*wire,
+		Cost:       cost,
 		Time:       TotalTime(pi, algo.Set),
-	}, true
+	}, nil
 }
 
 // countProcessors returns |S(J)| exactly.
@@ -753,14 +762,33 @@ func processorLowerBound(s *intmat.Matrix, upper intmat.Vector) int64 {
 	return lb
 }
 
-// wireLength returns Σ_i ‖S·d̄_i‖₁.
-func wireLength(s *intmat.Matrix, d *intmat.Matrix) int64 {
+// wireLength returns Σ_i ‖S·d̄_i‖₁, or an *OverflowError when S·D or
+// the sum leaves int64.
+func wireLength(s *intmat.Matrix, d *intmat.Matrix) (total int64, err error) {
+	defer intmat.Guard(&err)
 	sd := s.Mul(d)
-	var total int64
 	for i := 0; i < sd.Cols(); i++ {
-		total += sd.Col(i).AbsSum()
+		total = intmat.AddChecked(total, sd.Col(i).AbsSum())
 	}
-	return total
+	return total, nil
+}
+
+// costLowerBound returns S's wire length and the lower bound
+// processorLowerBound + weight·wire on its Problem 6.1 cost, or an
+// *OverflowError when either leaves int64.
+func costLowerBound(s *intmat.Matrix, algo *uda.Algorithm, weight int64) (wire, lb int64, err error) {
+	if wire, err = wireLength(s, algo.D); err != nil {
+		return 0, 0, err
+	}
+	lb, err = arrayCost(processorLowerBound(s, algo.Set.Upper), weight, wire)
+	return wire, lb, err
+}
+
+// arrayCost returns procs + weight·wire, the Problem 6.1 objective, or
+// an *OverflowError when it leaves int64.
+func arrayCost(procs, weight, wire int64) (cost int64, err error) {
+	defer intmat.Guard(&err)
+	return intmat.AddChecked(procs, intmat.MulChecked(weight, wire)), nil
 }
 
 // axisAutomorphisms returns the non-identity coordinate permutations σ

@@ -132,6 +132,9 @@ func TestFindJointMappingDeterministicWorkers(t *testing.T) {
 		{uda.TransitiveClosure(3), 1},
 		{uda.TransitiveClosure(4), 1},
 		{uda.TransitiveClosure(3), 2},
+		// Bit level: the Theorem 4.7/4.8 regime, where inner searches
+		// share the most Π ladder levels.
+		{uda.BitLevelConvolution(2, 2, 2), 1},
 	}
 	for _, c := range cases {
 		name := fmt.Sprintf("%s/dims=%d", c.algo.Name, c.dims)

@@ -29,9 +29,9 @@ func TestFindSpaceMappingMatmul(t *testing.T) {
 		t.Fatalf("winning mapping has conflict %v:\n%v", w, res.Mapping.T)
 	}
 	// The paper's S is among the feasible candidates but costs more.
-	paper, ok := evaluateSpaceMapping(algo, intmat.FromRows([]int64{1, 1, -1}), pi, &SpaceOptions{})
-	if !ok {
-		t.Fatal("paper S rejected")
+	paper, err := evaluateSpaceMapping(algo, intmat.FromRows([]int64{1, 1, -1}), pi, &SpaceOptions{})
+	if err != nil || paper == nil {
+		t.Fatalf("paper S rejected (err = %v)", err)
 	}
 	if paper.Processors != 13 {
 		t.Errorf("paper S processors = %d, want 13", paper.Processors)
@@ -175,8 +175,8 @@ func TestCountProcessorsAndWireLength(t *testing.T) {
 		t.Errorf("processors = %d, want 7", got)
 	}
 	// ‖S·d_i‖₁ = 1 per dependence, 3 total.
-	if got := wireLength(m.S, algo.D); got != 3 {
-		t.Errorf("wire length = %d, want 3", got)
+	if got, err := wireLength(m.S, algo.D); err != nil || got != 3 {
+		t.Errorf("wire length = %d (err = %v), want 3", got, err)
 	}
 }
 

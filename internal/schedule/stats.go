@@ -46,6 +46,11 @@ type SearchStats struct {
 	// Procedure 5.1 cost levels (equals Result.Candidates for a pure
 	// schedule search; aggregates over inner searches for joint runs).
 	ScheduleCandidates int64 `json:"schedule_candidates"`
+	// DependenceRejects counts the schedule vectors among
+	// ScheduleCandidates that failed ΠD > 0 — the first test of
+	// Procedure 5.1's step 5, read off the Π ladder as each visited
+	// level's raw size minus its valid entries.
+	DependenceRejects int64 `json:"dependence_rejects"`
 	// CostLevels counts objective levels f = Σ|π_i|μ_i the Procedure
 	// 5.1 enumeration stepped through (aggregate over inner searches).
 	CostLevels int64 `json:"cost_levels"`
@@ -84,7 +89,7 @@ func (s *SearchStats) String() string {
 		out += fmt.Sprintf(" space=%d pruned(orbit=%d lb=%d incumbent=%d) inner=%d",
 			s.SpaceCandidates, s.PrunedOrbit, s.PrunedLowerBound, s.PrunedIncumbent, s.InnerSearches)
 	}
-	out += fmt.Sprintf(" sched=%d levels=%d", s.ScheduleCandidates, s.CostLevels)
+	out += fmt.Sprintf(" sched=%d dep_rejects=%d levels=%d", s.ScheduleCandidates, s.DependenceRejects, s.CostLevels)
 	if s.HNFIncremental > 0 || s.HNFFromScratch > 0 {
 		out += fmt.Sprintf(" hnf(incremental=%d scratch=%d)", s.HNFIncremental, s.HNFFromScratch)
 	}
@@ -113,6 +118,7 @@ func (s *SearchStats) annotateSpan(span *trace.Span) {
 		span.SetInt("inner_searches", s.InnerSearches)
 	}
 	span.SetInt("schedule_candidates", s.ScheduleCandidates)
+	span.SetInt("dependence_rejects", s.DependenceRejects)
 	span.SetInt("cost_levels", s.CostLevels)
 	if s.HNFIncremental > 0 || s.HNFFromScratch > 0 {
 		span.SetInt("hnf_incremental", s.HNFIncremental)
@@ -130,6 +136,7 @@ type statsCollector struct {
 	prunedIncumbent    atomic.Int64
 	innerSearches      atomic.Int64
 	scheduleCandidates atomic.Int64
+	dependenceRejects  atomic.Int64
 	costLevels         atomic.Int64
 	hnfIncremental     atomic.Int64
 	hnfFromScratch     atomic.Int64
@@ -159,6 +166,7 @@ func (c *statsCollector) snapshot(engine string, workers int, collect, search, t
 		PrunedIncumbent:    c.prunedIncumbent.Load(),
 		InnerSearches:      c.innerSearches.Load(),
 		ScheduleCandidates: c.scheduleCandidates.Load(),
+		DependenceRejects:  c.dependenceRejects.Load(),
 		CostLevels:         c.costLevels.Load(),
 		HNFIncremental:     c.hnfIncremental.Load(),
 		HNFFromScratch:     c.hnfFromScratch.Load(),

@@ -74,6 +74,7 @@ type metrics struct {
 	prunedIncumbent    atomic.Int64
 	spaceCandidates    atomic.Int64
 	scheduleCandidates atomic.Int64
+	dependenceRejects  atomic.Int64
 	costLevels         atomic.Int64
 	innerSearches      atomic.Int64
 
@@ -214,6 +215,7 @@ func (m *metrics) observeSearchStats(st *schedule.SearchStats) {
 	m.prunedIncumbent.Add(st.PrunedIncumbent)
 	m.spaceCandidates.Add(st.SpaceCandidates)
 	m.scheduleCandidates.Add(st.ScheduleCandidates)
+	m.dependenceRejects.Add(st.DependenceRejects)
 	m.costLevels.Add(st.CostLevels)
 	m.innerSearches.Add(st.InnerSearches)
 }
@@ -338,6 +340,7 @@ func (m *metrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "mapserve_search_pruned_total{rule=\"incumbent\"} %d\n", m.prunedIncumbent.Load())
 	counter("mapserve_search_space_candidates_total", "Space mappings enumerated by the joint search.", m.spaceCandidates.Load())
 	counter("mapserve_search_schedule_candidates_total", "Schedule vectors examined across all inner searches.", m.scheduleCandidates.Load())
+	counter("mapserve_search_dependence_rejects_total", "Schedule vectors rejected by the dependence test Pi*D > 0.", m.dependenceRejects.Load())
 	counter("mapserve_search_cost_levels_total", "Objective levels stepped through by Procedure 5.1.", m.costLevels.Load())
 	counter("mapserve_search_inner_searches_total", "Inner Procedure 5.1 searches launched by the joint search.", m.innerSearches.Load())
 	if m.traceCounters != nil {
@@ -487,6 +490,7 @@ func (m *metrics) Snapshot() map[string]any {
 	out["search_pruned_incumbent"] = m.prunedIncumbent.Load()
 	out["search_space_candidates"] = m.spaceCandidates.Load()
 	out["search_schedule_candidates"] = m.scheduleCandidates.Load()
+	out["search_dependence_rejects"] = m.dependenceRejects.Load()
 	out["search_cost_levels"] = m.costLevels.Load()
 	out["search_inner_searches"] = m.innerSearches.Load()
 	// The Prometheus-only derived values mirror into the expvar surface

@@ -272,6 +272,7 @@ func TestE2EMetricsExposeSearchEffort(t *testing.T) {
 	for _, counter := range []string{
 		"mapserve_search_space_candidates_total",
 		"mapserve_search_schedule_candidates_total",
+		"mapserve_search_dependence_rejects_total",
 		"mapserve_search_cost_levels_total",
 		"mapserve_search_inner_searches_total",
 	} {

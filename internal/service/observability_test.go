@@ -214,6 +214,7 @@ func TestWritePrometheusSearchStatsCounters(t *testing.T) {
 		`mapserve_search_pruned_total{rule="incumbent"}`:   2 * st.PrunedIncumbent,
 		"mapserve_search_space_candidates_total":           2 * st.SpaceCandidates,
 		"mapserve_search_schedule_candidates_total":        2 * st.ScheduleCandidates,
+		"mapserve_search_dependence_rejects_total":         2 * st.DependenceRejects,
 		"mapserve_search_cost_levels_total":                2 * st.CostLevels,
 		"mapserve_search_inner_searches_total":             2 * st.InnerSearches,
 	}
@@ -287,6 +288,7 @@ func TestSnapshotPrometheusParity(t *testing.T) {
 		"mapserve_search_pruned_total":              {"search_pruned_orbit", "search_pruned_lower_bound", "search_pruned_incumbent"},
 		"mapserve_search_space_candidates_total":    {"search_space_candidates"},
 		"mapserve_search_schedule_candidates_total": {"search_schedule_candidates"},
+		"mapserve_search_dependence_rejects_total":  {"search_dependence_rejects"},
 		"mapserve_search_cost_levels_total":         {"search_cost_levels"},
 		"mapserve_search_inner_searches_total":      {"search_inner_searches"},
 		"mapserve_cache_hit_ratio":                  {"cache_hit_ratio"},
@@ -406,5 +408,6 @@ var searchStatsFixture = schedule.SearchStats{
 	PrunedIncumbent:    7,
 	InnerSearches:      11,
 	ScheduleCandidates: 400,
+	DependenceRejects:  300,
 	CostLevels:         9,
 }
