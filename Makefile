@@ -35,9 +35,10 @@ race-hot:
 
 # The multi-node federation tests: an in-process 3-node cluster under
 # the race detector (distributed singleflight, peer cache-fill, peer
-# death fallback, fill validation, hop-loop rejection).
+# death fallback, fill validation, hop-loop rejection), plus the peer
+# fill revalidation of both workload kinds.
 cluster-e2e:
-	$(GO) test -race -run 'TestClusterE2E' -v ./internal/service/
+	$(GO) test -race -run 'TestClusterE2E|TestPeer.*Fill' -v ./internal/service/
 	$(GO) test -race -run 'TestRunInprocCluster' -v ./cmd/maploadgen/
 
 # Reproducible cluster load test: replays a seeded permuted corpus
@@ -98,6 +99,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzVerifyVsBruteForce -fuzztime=30s ./internal/verify/
 	$(GO) test -fuzz=FuzzClosedFormGamma -fuzztime=30s ./internal/verify/
 	$(GO) test -fuzz=FuzzPiLadder -fuzztime=30s ./internal/schedule/
+	$(GO) test -fuzz=FuzzPeerFill -fuzztime=30s ./internal/service/
 
 cover:
 	$(GO) test -cover ./...

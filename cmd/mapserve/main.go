@@ -9,6 +9,8 @@
 // Endpoints:
 //
 //	POST /v1/map       — time-optimal conflict-free joint mapping
+//	POST /v1/pareto    — certified Pareto front over time, processors,
+//	                     buffers and links
 //	POST /v1/conflict  — conflict-freeness decision for a mapping matrix
 //	POST /v1/simulate  — cycle-accurate systolic simulation
 //	POST /v1/verify    — independent certificate for a given (S, Π)
@@ -18,10 +20,11 @@
 //
 // With -peers "a=http://hostA:8080,b=http://hostB:8080" and -node-id
 // the server joins a mapserve cluster: the canonical cache is sharded
-// over a consistent-hash ring, cache misses are forwarded to the key's
-// owner (POST /peer/v1/lookup) and filled locally, and a distributed
-// singleflight guarantees each problem is searched at most once
-// cluster-wide. POST /v1/batch answers many map queries per request.
+// over a consistent-hash ring, map and pareto cache misses are
+// forwarded to the key's owner (POST /peer/v1/lookup, one route for
+// both kinds) and filled locally, and a distributed singleflight
+// guarantees each problem is searched at most once cluster-wide. POST
+// /v1/batch answers many map queries per request.
 //
 // With -slo-availability and/or -slo-latency-p99 the server evaluates
 // rolling burn-rate SLOs over the public sync endpoints: a breach logs

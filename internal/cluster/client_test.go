@@ -24,7 +24,7 @@ func TestClientLookupRoundTrip(t *testing.T) {
 		}
 		json.NewEncoder(w).Encode(&LookupResponse{
 			Disposition: DispositionMiss,
-			Result:      WireResult{S: [][]int64{{1, 1, -1}}, Pi: []int64{1, 4, 1}, Time: 42, Engine: "procedure-5.1"},
+			Result:      json.RawMessage(`{"s":[[1,1,-1]],"pi":[1,4,1],"time":42,"engine":"procedure-5.1"}`),
 		})
 	}))
 	defer srv.Close()
@@ -40,7 +40,11 @@ func TestClientLookupRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Disposition != DispositionMiss || resp.Result.Time != 42 {
+	var res WireResult
+	if err := json.Unmarshal(resp.Result, &res); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Disposition != DispositionMiss || res.Time != 42 {
 		t.Errorf("response = %+v", resp)
 	}
 	if gotHop != "1" {
@@ -125,12 +129,16 @@ func TestClientFill(t *testing.T) {
 	c := NewClient(nil, nil)
 	err := c.Fill(context.Background(), Member{ID: "x", URL: srv.URL}, &FillRequest{
 		Problem: Problem{Key: "k2"},
-		Result:  WireResult{Time: 7},
+		Result:  json.RawMessage(`{"time":7}`),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Key != "k2" || got.Result.Time != 7 {
+	var res WireResult
+	if err := json.Unmarshal(got.Result, &res); err != nil {
+		t.Fatal(err)
+	}
+	if got.Key != "k2" || res.Time != 7 {
 		t.Errorf("peer saw fill %+v", got)
 	}
 }

@@ -2,13 +2,14 @@
 // ring over canonical problem keys plus the HTTP peer protocol that lets
 // a fleet of mapserve nodes behave as one cache.
 //
-// Sharding model. Every map query reduces (in internal/service) to a
-// canonical problem key that is stable under axis-permutation symmetry —
-// the same identity the single-node cache and singleflight already use.
-// The ring assigns each key one owner among the members; the owner is
-// the only node that ever *searches* for that key. A non-owner that
-// misses its local cache forwards the canonical problem to the owner
-// over POST /peer/v1/lookup, then caches the returned result locally
+// Sharding model. Every map or Pareto front query reduces (in
+// internal/service) to a canonical problem key that is stable under
+// axis-permutation symmetry — the same identity the single-node cache
+// and singleflight already use. The ring assigns each key one owner
+// among the members; the owner is the only node that ever *searches*
+// for that key. A non-owner that misses its local cache forwards the
+// canonical problem, tagged with its workload kind, to the owner over
+// POST /peer/v1/lookup, then caches the returned result locally
 // (forward-then-fill), so repeated traffic for a key is absorbed
 // anywhere in the cluster after the first round trip.
 //

@@ -1,9 +1,15 @@
 package cluster
 
-import "lodim/internal/slo"
+import (
+	"encoding/json"
+
+	"lodim/internal/slo"
+)
 
 // The peer protocol: two JSON-over-HTTP endpoints every clustered
-// mapserve node serves alongside its public API.
+// mapserve node serves alongside its public API. Both carry every
+// workload kind — a map problem (the joint (S, Π) search) or a Pareto
+// front problem — told apart by Problem.Kind.
 //
 //	POST /peer/v1/lookup — resolve a canonical problem: answer from the
 //	  local cache or run the search (deduplicated with every other
@@ -15,8 +21,9 @@ import "lodim/internal/slo"
 //
 // Both bodies carry the problem in *canonical* coordinates (the
 // internal/service canonicalizer's output): receivers re-canonicalize
-// and reject any body whose recomputed key disagrees, so a buggy or
-// malicious peer cannot poison a cache.
+// and reject any body whose recomputed key disagrees, and revalidate
+// every result before caching it, so a buggy or malicious peer cannot
+// poison a cache.
 const (
 	LookupPath = "/peer/v1/lookup"
 	FillPath   = "/peer/v1/fill"
@@ -33,12 +40,22 @@ const (
 	MaxHops   = 1
 )
 
-// Problem identifies one canonical map query: the canonical algorithm
-// (bounds μ ascending, dependence columns sorted) plus the search
-// parameters that are part of the cache identity. Key is the composite
-// cache key the sender computed; receivers recompute it from the rest
-// of the fields and reject mismatches.
+// Workload kinds a Problem can carry. An absent kind is a map problem.
+const (
+	KindMap    = "map"
+	KindPareto = "pareto"
+)
+
+// Problem identifies one canonical query: its kind, the canonical
+// algorithm (bounds μ ascending, dependence columns sorted) plus the
+// search parameters that are part of the cache identity. Key is the
+// composite cache key the sender computed; receivers recompute it from
+// the rest of the fields and reject mismatches. WireWeight belongs to
+// map problems and TimeSlack to Pareto ones; a front's selection knobs
+// (mode, lex order, weights) are deliberately absent — they pick from
+// the front, they don't change it.
 type Problem struct {
+	Kind         string    `json:"kind,omitempty"`
 	Key          string    `json:"key"`
 	Bounds       []int64   `json:"bounds"`
 	Dependencies [][]int64 `json:"dependencies"`
@@ -46,6 +63,7 @@ type Problem struct {
 	MaxEntry     int64     `json:"max_entry,omitempty"`
 	WireWeight   int64     `json:"wire_weight,omitempty"`
 	MaxCost      int64     `json:"max_cost,omitempty"`
+	TimeSlack    int64     `json:"time_slack,omitempty"`
 }
 
 // LookupRequest asks the receiver to resolve a canonical problem.
@@ -67,16 +85,17 @@ const (
 )
 
 // LookupResponse carries the canonical-coordinate result and how the
-// owner produced it.
+// owner produced it. Result is the kind's wire form: a WireResult for a
+// map problem, a ParetoWireResult for a front.
 type LookupResponse struct {
-	Disposition string     `json:"disposition"`
-	Result      WireResult `json:"result"`
+	Disposition string          `json:"disposition"`
+	Result      json.RawMessage `json:"result"`
 }
 
-// WireResult is a search result in canonical coordinates, flattened for
-// transport. It carries exactly the fields the service layer needs to
-// rebuild a cacheable result whose rendered responses are byte-identical
-// to the owner's own.
+// WireResult is a map search result in canonical coordinates, flattened
+// for transport. It carries exactly the fields the service layer needs
+// to rebuild a cacheable result whose rendered responses are
+// byte-identical to the owner's own.
 type WireResult struct {
 	S                  [][]int64 `json:"s"`
 	Pi                 []int64   `json:"pi"`
@@ -91,52 +110,9 @@ type WireResult struct {
 	ConflictMethod     string    `json:"conflict_method"`
 }
 
-// FillRequest pushes a finished result into the receiver's cache.
-type FillRequest struct {
-	Problem
-	Result WireResult `json:"result"`
-}
-
-// FillResponse acknowledges a fill.
-type FillResponse struct {
-	Stored bool `json:"stored"`
-}
-
-// The Pareto leg of the peer protocol mirrors the map leg: the same
-// ownership ring (hashing the composite pareto key), the same
-// forward-then-fill discipline, the same hop bound. Receivers
-// revalidate every front end to end — each member re-certified and the
-// non-domination/order invariants re-checked — before caching, so the
-// poisoning defense is at least as strong as the map leg's.
-const (
-	ParetoLookupPath = "/peer/v1/pareto/lookup"
-	ParetoFillPath   = "/peer/v1/pareto/fill"
-)
-
 // ParetoAxes is the wire width of an objective vector: time,
 // processors, buffers, links — pinned in that order.
 const ParetoAxes = 4
-
-// ParetoProblem identifies one canonical multi-objective query: the
-// canonical algorithm plus every knob that is part of the front's
-// cache identity. Selection knobs (mode, lex order, weights) are
-// deliberately absent — they pick from the front, they don't change it.
-type ParetoProblem struct {
-	Key          string    `json:"key"`
-	Bounds       []int64   `json:"bounds"`
-	Dependencies [][]int64 `json:"dependencies"`
-	Dims         int       `json:"dims"`
-	MaxEntry     int64     `json:"max_entry,omitempty"`
-	MaxCost      int64     `json:"max_cost,omitempty"`
-	TimeSlack    int64     `json:"time_slack,omitempty"`
-}
-
-// ParetoLookupRequest asks the receiver to resolve a canonical
-// multi-objective problem, propagating the origin request's budget.
-type ParetoLookupRequest struct {
-	ParetoProblem
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-}
 
 // ParetoWireMember is one front member in canonical coordinates.
 type ParetoWireMember struct {
@@ -154,21 +130,15 @@ type ParetoWireResult struct {
 	Pruned     int                `json:"pruned"`
 }
 
-// ParetoLookupResponse carries the canonical front and the owner's
-// disposition (the same Disposition* values as the map leg).
-type ParetoLookupResponse struct {
-	Disposition string           `json:"disposition"`
-	Result      ParetoWireResult `json:"result"`
+// FillRequest pushes a finished result (the kind's wire form, as in
+// LookupResponse) into the receiver's cache.
+type FillRequest struct {
+	Problem
+	Result json.RawMessage `json:"result"`
 }
 
-// ParetoFillRequest pushes a finished front into the receiver's cache.
-type ParetoFillRequest struct {
-	ParetoProblem
-	Result ParetoWireResult `json:"result"`
-}
-
-// ParetoFillResponse acknowledges a Pareto fill.
-type ParetoFillResponse struct {
+// FillResponse acknowledges a fill.
+type FillResponse struct {
 	Stored bool `json:"stored"`
 }
 

@@ -84,8 +84,10 @@ type Mapping struct {
 // NewMapping assembles and validates a mapping: shape consistency,
 // ΠD > 0 and rank(T) = k. Conflict-freeness is not required here — the
 // simulator deliberately accepts conflicting mappings so the conflicts
-// can be observed; use Check for the full verdict.
-func NewMapping(algo *uda.Algorithm, s *intmat.Matrix, pi intmat.Vector) (*Mapping, error) {
+// can be observed; use Check for the full verdict. A Π whose ΠD or
+// rank computation overflows int64 is an error, not a panic.
+func NewMapping(algo *uda.Algorithm, s *intmat.Matrix, pi intmat.Vector) (_ *Mapping, err error) {
+	defer intmat.Guard(&err)
 	if err := algo.Validate(); err != nil {
 		return nil, err
 	}

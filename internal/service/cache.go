@@ -49,7 +49,7 @@ func (c *lruCache) Get(key string) (any, bool) {
 
 // Add inserts or refreshes an entry, evicting the least recently used
 // entry when the cache is full. bytes is the caller's size estimate for
-// the entry (see estimateResultBytes), folded into the occupancy gauge.
+// the entry (see workload.size), folded into the occupancy gauge.
 func (c *lruCache) Add(key string, val any, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

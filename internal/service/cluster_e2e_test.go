@@ -331,20 +331,29 @@ func TestClusterE2EPeerDeathFallback(t *testing.T) {
 
 // TestClusterE2EHopHeader: forwarded peer calls carry the hop header;
 // a request claiming more hops than the protocol allows is refused
-// with 508 before any work happens, and a malformed count is a 400.
+// with 508 before any work happens — for every workload kind on both
+// shared routes — and a malformed count is a 400.
 func TestClusterE2EHopHeader(t *testing.T) {
 	tc := newTestCluster(t, 2)
 	lreq := `{"problem":{"key":"x","bounds":[2,2,2],"dependencies":[[1,0,0],[0,1,0],[0,0,1]],"dims":1}}`
+	mapBody := `{"kind":"map","key":"x","bounds":[2,2,2],"dependencies":[[1,0,0],[0,1,0],[0,0,1]],"dims":1}`
+	paretoBody := `{"kind":"pareto","key":"x","bounds":[2,2,2],"dependencies":[[1,0,0],[0,1,0],[0,0,1]],"dims":1,"time_slack":1}`
 
 	for _, c := range []struct {
+		path string
+		body string
 		hop  string
 		want int
 	}{
-		{"2", http.StatusLoopDetected},
-		{"junk", http.StatusBadRequest},
-		{"-1", http.StatusBadRequest},
+		{cluster.LookupPath, lreq, "2", http.StatusLoopDetected},
+		{cluster.LookupPath, lreq, "junk", http.StatusBadRequest},
+		{cluster.LookupPath, lreq, "-1", http.StatusBadRequest},
+		{cluster.LookupPath, mapBody, "2", http.StatusLoopDetected},
+		{cluster.LookupPath, paretoBody, "2", http.StatusLoopDetected},
+		{cluster.FillPath, mapBody, "2", http.StatusLoopDetected},
+		{cluster.FillPath, paretoBody, "2", http.StatusLoopDetected},
 	} {
-		req, _ := http.NewRequest("POST", tc.srvs[0].URL+cluster.LookupPath, strings.NewReader(lreq))
+		req, _ := http.NewRequest("POST", tc.srvs[0].URL+c.path, strings.NewReader(c.body))
 		req.Header.Set("Content-Type", "application/json")
 		req.Header.Set(cluster.HopHeader, c.hop)
 		resp, err := http.DefaultClient.Do(req)
@@ -353,8 +362,11 @@ func TestClusterE2EHopHeader(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != c.want {
-			t.Errorf("hop %q: status %d, want %d", c.hop, resp.StatusCode, c.want)
+			t.Errorf("%s %s hop %q: status %d, want %d", c.path, c.body, c.hop, resp.StatusCode, c.want)
 		}
+	}
+	if n := tc.svcs[0].CacheLen(); n != 0 {
+		t.Errorf("refused peer calls left %d cache entries", n)
 	}
 }
 
@@ -382,16 +394,18 @@ func TestClusterE2EFillValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	canon := Canonicalize(algo)
-	key := mapCacheKey(canon.Key, dims, &req)
-	prob := clusterProblem(key, canon, dims, &req)
+	w := newMapWork(canon, dims, &req)
+	key := w.key
+	prob := w.wire()
 	cached, ok := tc.svcs[ownerIdx].cache.Get(key)
 	if !ok {
 		t.Fatal("seed result missing from node 0's cache")
 	}
 
-	fill := func(t *testing.T, res cluster.WireResult, wantStored bool, wantStatus int) {
+	fillAs := func(t *testing.T, prob cluster.Problem, res cluster.WireResult, wantStored bool, wantStatus int) {
 		t.Helper()
-		freq, _ := json.Marshal(&cluster.FillRequest{Problem: prob, Result: res})
+		raw, _ := json.Marshal(&res)
+		freq, _ := json.Marshal(&cluster.FillRequest{Problem: prob, Result: raw})
 		status, _, body := postJSON(t, tc.srvs[other].URL+cluster.FillPath, string(freq))
 		if status != wantStatus {
 			t.Fatalf("fill status = %d, want %d (%s)", status, wantStatus, body)
@@ -407,10 +421,14 @@ func TestClusterE2EFillValidation(t *testing.T) {
 			t.Errorf("stored = %v, want %v", fresp.Stored, wantStored)
 		}
 	}
+	fill := func(t *testing.T, res cluster.WireResult, wantStored bool, wantStatus int) {
+		t.Helper()
+		fillAs(t, prob, res, wantStored, wantStatus)
+	}
 
 	// A lying total time must be refused: the receiver recomputes the
 	// schedule figure from Π and the bounds.
-	genuine := *wireFromResult(cached.(*schedule.JointResult))
+	genuine := *w.toWire(cached).(*cluster.WireResult)
 	bogus := genuine
 	bogus.Time = genuine.Time + 1
 	fill(t, bogus, false, http.StatusBadRequest)
@@ -418,9 +436,32 @@ func TestClusterE2EFillValidation(t *testing.T) {
 		t.Errorf("rejected fills = %d, want 1", n)
 	}
 
+	// The kind tag is part of the problem's identity: an unknown kind,
+	// and a kind that disagrees with its key either way round, are
+	// refused with nothing cached.
+	unknown := prob
+	unknown.Kind = "verify"
+	paretoKindMapKey := prob
+	paretoKindMapKey.Kind = cluster.KindPareto
+	mapKindParetoKey := newParetoWork(canon, dims, &ParetoRequest{}).wire()
+	mapKindParetoKey.Kind = cluster.KindMap
+	for _, p := range []cluster.Problem{unknown, paretoKindMapKey, mapKindParetoKey} {
+		fillAs(t, p, genuine, false, http.StatusBadRequest)
+	}
+	if n := tc.svcs[other].met.peerFillsRejected.Load(); n != 4 {
+		t.Errorf("rejected fills = %d, want 4", n)
+	}
+	if n := tc.svcs[other].CacheLen(); n != 0 {
+		t.Errorf("refused fills left %d cache entries", n)
+	}
+
 	// The genuine result is accepted and cached: the next local request
-	// is a hit with zero searches on node 1.
+	// is a hit with zero searches on node 1. A problem without a kind tag
+	// is a map problem.
 	fill(t, genuine, true, http.StatusOK)
+	untagged := prob
+	untagged.Kind = ""
+	fillAs(t, untagged, genuine, true, http.StatusOK)
 	status, hdr, _ := postJSON(t, tc.srvs[other].URL+"/v1/map", e2ePerm)
 	if status != 200 || hdr.Get("X-Mapserve-Cache") != "hit" {
 		t.Errorf("after fill: %d %q, want 200 hit", status, hdr.Get("X-Mapserve-Cache"))

@@ -53,13 +53,12 @@ type errorBody struct {
 //	GET    /v1/jobs/{id}/events  — stream state transitions (ndjson)
 //	DELETE /v1/jobs/{id}         — cancel a queued or running job
 //
-// Clustered nodes additionally serve the peer protocol (the pareto
-// legs mirror the map legs key-for-key):
+// Clustered nodes additionally serve the peer protocol. Both routes
+// carry every workload kind (map or pareto), told apart by the wire
+// problem's kind tag:
 //
-//	POST /peer/v1/lookup        — owner-side answer for a forwarded problem
-//	POST /peer/v1/fill          — best-effort cache push from a peer
-//	POST /peer/v1/pareto/lookup — owner-side answer for a forwarded front
-//	POST /peer/v1/pareto/fill   — best-effort front push from a peer
+//	POST /peer/v1/lookup — owner-side answer for a forwarded problem
+//	POST /peer/v1/fill   — best-effort cache push from a peer
 //
 // Every POST endpoint runs inside the instrument wrapper, which owns
 // the per-endpoint request counter (exactly one increment per request,
@@ -87,8 +86,6 @@ func NewHandler(s *Service) http.Handler {
 	if s.clu != nil {
 		mux.HandleFunc("POST "+cluster.LookupPath, s.instrument("peer_lookup", s.handlePeerLookup))
 		mux.HandleFunc("POST "+cluster.FillPath, s.instrument("peer_fill", s.handlePeerFill))
-		mux.HandleFunc("POST "+cluster.ParetoLookupPath, s.instrument("peer_pareto_lookup", s.handlePeerParetoLookup))
-		mux.HandleFunc("POST "+cluster.ParetoFillPath, s.instrument("peer_pareto_fill", s.handlePeerParetoFill))
 	}
 	return mux
 }
@@ -393,44 +390,6 @@ func (s *Service) handlePareto(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("X-Mapserve-Cache", string(status))
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Service) handlePeerParetoLookup(w http.ResponseWriter, r *http.Request) {
-	if !s.checkHop(w, r) {
-		return
-	}
-	var req cluster.ParetoLookupRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	ctx, cancel := s.withDeadline(r, req.TimeoutMS)
-	defer cancel()
-	resp, err := s.PeerParetoLookup(ctx, &req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Service) handlePeerParetoFill(w http.ResponseWriter, r *http.Request) {
-	if !s.checkHop(w, r) {
-		return
-	}
-	var req cluster.ParetoFillRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	ctx, cancel := s.withDeadline(r, 0)
-	defer cancel()
-	resp, err := s.PeerParetoFill(ctx, &req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -21,15 +21,14 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 	"time"
 
 	"lodim/internal/cluster"
 	"lodim/internal/intmat"
 	"lodim/internal/schedule"
-	"lodim/internal/trace"
 	"lodim/internal/uda"
 	"lodim/internal/verify"
 )
@@ -167,10 +166,8 @@ func paretoCacheKey(canonKey string, dims int, req *ParetoRequest) string {
 	return fmt.Sprintf("pareto|%s|dims=%d|me=%d|mc=%d|slack=%d", canonKey, dims, req.MaxEntry, req.MaxCost, req.TimeSlack)
 }
 
-// Pareto answers a multi-objective front query: canonical cache first,
-// then a singleflight-deduplicated flight that forwards to the key's
-// ring owner or runs the admission-controlled search, certifying the
-// front before it is cached.
+// Pareto answers a multi-objective front query through the workload
+// path (see workload.go), then selects Best under the request's mode.
 func (s *Service) Pareto(ctx context.Context, req *ParetoRequest) (*ParetoResponse, CacheStatus, error) {
 	done, err := s.begin()
 	if err != nil {
@@ -184,158 +181,86 @@ func (s *Service) Pareto(ctx context.Context, req *ParetoRequest) (*ParetoRespon
 	}
 
 	canonStart := time.Now()
-	canon := Canonicalize(algo)
-	key := paretoCacheKey(canon.Key, dims, req)
+	w := newParetoWork(Canonicalize(algo), dims, req)
 	recordStage(ctx, stageCanonicalize, canonStart)
-	if v, ok := s.cache.Get(key); ok {
-		s.met.cacheHits.Add(1)
-		return s.paretoResponse(ctx, algo, canon, key, dims, sel, v.(*schedule.ParetoResult))
-	}
-
-	fctx, fspan := trace.Start(ctx, "flight")
-	flightStart := time.Now()
-	v, err, leader, mark := s.flights.DoMarked(fctx, key, func(fc context.Context) (any, error) {
-		return s.runParetoSearch(fc, key, canon, dims, req, true)
-	})
-	if !leader {
-		s.recordFollowerWait(ctx, mark, flightStart)
-	}
-	if fspan != nil {
-		role := "follower"
-		if leader {
-			role = "leader"
-		}
-		fspan.SetStr("role", role)
-		if err != nil {
-			fspan.SetStr("error", err.Error())
-		}
-		fspan.End()
-	}
+	res, status, err := s.resolve(ctx, w)
 	if err != nil {
-		status := CacheShared
-		if leader {
-			status = CacheMiss
-			s.met.cacheMisses.Add(1)
-		}
 		return nil, status, err
 	}
-	out := v.(*paretoFlightOutcome)
-	status := CacheShared
-	switch {
-	case leader && out.fromCache:
-		status = CacheHit
-		s.met.cacheHits.Add(1)
-	case leader && out.viaPeer:
-		status = CacheStatus("peer_" + out.peerDisposition)
-	case leader:
-		status = CacheMiss
-		s.met.cacheMisses.Add(1)
-	}
-	resp, _, err := s.paretoResponse(ctx, algo, canon, key, dims, sel, out.res)
-	return resp, status, err
-}
-
-// paretoFlightOutcome mirrors flightOutcome for the Pareto flight.
-type paretoFlightOutcome struct {
-	res             *schedule.ParetoResult
-	fromCache       bool
-	viaPeer         bool
-	peerDisposition string
-}
-
-// runParetoSearch is the body of a Pareto flight — the exact shape of
-// runSearch with the multi-objective engine and a certification gate
-// in front of the cache.
-func (s *Service) runParetoSearch(ctx context.Context, key string, canon *Canonical, dims int, req *ParetoRequest, allowForward bool) (*paretoFlightOutcome, error) {
-	if v, ok := s.cache.Get(key); ok {
-		return &paretoFlightOutcome{res: v.(*schedule.ParetoResult), fromCache: true}, nil
-	}
-	fellBack := false
-	if allowForward {
-		out, err, verdict := s.tryParetoPeerLookup(ctx, key, canon, dims, req)
-		switch verdict {
-		case peerDone:
-			return out, err
-		case peerFailed:
-			fellBack = true
-		}
-	}
-	queueStart := time.Now()
-	release, err := s.acquire(ctx)
-	recordStage(ctx, stageQueue, queueStart)
+	resp, err := s.paretoResponse(ctx, algo, w.canon, w.key, dims, sel, res.(*schedule.ParetoResult))
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	defer release()
-	if v, ok := s.cache.Get(key); ok {
-		return &paretoFlightOutcome{res: v.(*schedule.ParetoResult), fromCache: true}, nil
-	}
-	s.met.searches.Add(1)
-	if fm := markFrom(ctx); fm != nil {
-		fm.searchStartNs.CompareAndSwap(0, time.Now().UnixNano())
-	}
-	opts := &schedule.ParetoOptions{
+	return resp, status, nil
+}
+
+// paretoWork is the front workload: the multi-objective joint search,
+// certified before it is cached.
+type paretoWork struct{ *workProblem }
+
+func newParetoWork(canon *Canonical, dims int, req *ParetoRequest) paretoWork {
+	return paretoWork{&workProblem{
+		kind:      cluster.KindPareto,
+		canon:     canon,
+		dims:      dims,
+		key:       paretoCacheKey(canon.Key, dims, req),
+		maxEntry:  req.MaxEntry,
+		maxCost:   req.MaxCost,
+		timeSlack: req.TimeSlack,
+		timeoutMS: req.TimeoutMS,
+	}}
+}
+
+func (w paretoWork) search(ctx context.Context, s *Service) (any, *schedule.SearchStats, error) {
+	res, err := s.searchPareto(ctx, w.canon.Algo, w.dims, &schedule.ParetoOptions{
 		Space: schedule.SpaceOptions{
-			MaxEntry: req.MaxEntry,
-			Schedule: schedule.Options{MaxCost: req.MaxCost, Workers: s.cfg.SearchWorkers},
+			MaxEntry: w.maxEntry,
+			Schedule: schedule.Options{MaxCost: w.maxCost, Workers: s.cfg.SearchWorkers},
 		},
-		TimeSlack: req.TimeSlack,
+		TimeSlack: w.timeSlack,
 		// ModeFront: selection happens per request, after the cache.
-	}
-	start := time.Now()
-	res, err := s.searchPareto(ctx, canon.Algo, dims, opts)
-	s.met.observeSearch(time.Since(start), trace.FromContext(ctx).TraceID())
-	recordStage(ctx, stageSearch, start)
+	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	s.met.observeSearchStats(res.Stats)
 	// No front enters the cache uncertified: the independent verifier
 	// re-derives every member certificate, every objective vector, and
 	// the non-domination/order invariants. A failure here is an engine
 	// bug, not a bad request — surface it loudly.
-	if err := s.certifyFront(ctx, canon.Algo, res); err != nil {
-		return nil, fmt.Errorf("service: front failed certification: %w", err)
+	if err := certifyFront(ctx, w.canon.Algo, res); err != nil {
+		return nil, nil, fmt.Errorf("service: front failed certification: %w", err)
 	}
-	s.cache.Add(key, res, estimateParetoBytes(key, res))
-	if fellBack {
-		s.fillParetoOwnerAsync(key, canon, dims, req, res)
-	}
-	return &paretoFlightOutcome{res: res}, nil
+	return res, res.Stats, nil
 }
 
 // certifyFront runs the Pareto verifier over a canonical-coordinate
-// result. Optimality analysis is skipped — slack-window members are
+// front. Optimality analysis is skipped — slack-window members are
 // deliberately non-optimal in time — but member validity, conflict-
 // freedom, objective recomputation, the window, non-domination, and
 // the pinned order are all re-derived.
-func (s *Service) certifyFront(ctx context.Context, canonAlgo *uda.Algorithm, res *schedule.ParetoResult) error {
-	cert, err := verify.CertifyPareto(ctx, canonAlgo, paretoVerifyInputs(res), res.TimeBound, &verify.Options{SkipOptimality: true})
+func certifyFront(ctx context.Context, canonAlgo *uda.Algorithm, res *schedule.ParetoResult) error {
+	inputs := make([]verify.ParetoInput, len(res.Front))
+	for i, m := range res.Front {
+		inputs[i] = verify.ParetoInput{S: m.Mapping.S, Pi: m.Mapping.Pi, Vector: [verify.ParetoAxes]int64(m.Vector)}
+	}
+	cert, err := verify.CertifyPareto(ctx, canonAlgo, inputs, res.TimeBound, &verify.Options{SkipOptimality: true})
 	if err != nil {
 		return err
 	}
 	return cert.Err()
 }
 
-func paretoVerifyInputs(res *schedule.ParetoResult) []verify.ParetoInput {
-	inputs := make([]verify.ParetoInput, len(res.Front))
-	for i, m := range res.Front {
-		inputs[i] = verify.ParetoInput{S: m.Mapping.S, Pi: m.Mapping.Pi, Vector: [verify.ParetoAxes]int64(m.Vector)}
-	}
-	return inputs
-}
-
 // paretoResponse translates a canonical front into the request's axis
 // order and selects Best under the request's mode. The translation is
 // an index-space isomorphism, so every objective vector is invariant;
 // only S's columns and Π's entries move.
-func (s *Service) paretoResponse(ctx context.Context, algo *uda.Algorithm, canon *Canonical, key string, dims int, sel *schedule.ParetoOptions, res *schedule.ParetoResult) (*ParetoResponse, CacheStatus, error) {
+func (s *Service) paretoResponse(ctx context.Context, algo *uda.Algorithm, canon *Canonical, key string, dims int, sel *schedule.ParetoOptions, res *schedule.ParetoResult) (*ParetoResponse, error) {
 	defer recordStage(ctx, stageTranslate, time.Now())
 	best, err := schedule.SelectBest(res.Front, sel)
 	if err != nil {
 		// Selection was validated before the search; failing here means a
 		// cached front turned empty, which cannot happen.
-		return nil, "", err
+		return nil, err
 	}
 	front := make([]ParetoFrontMember, len(res.Front))
 	for i, m := range res.Front {
@@ -361,230 +286,12 @@ func (s *Service) paretoResponse(ctx context.Context, algo *uda.Algorithm, canon
 		Pruned:       res.Pruned,
 		Certified:    true,
 		CanonicalKey: key,
-	}, CacheHit, nil
+	}, nil
 }
 
-// tryParetoPeerLookup forwards a missed front key to its ring owner —
-// the Pareto leg of tryPeerLookup, with the same three-way verdict.
-func (s *Service) tryParetoPeerLookup(ctx context.Context, key string, canon *Canonical, dims int, req *ParetoRequest) (*paretoFlightOutcome, error, peerVerdict) {
-	clu := s.clu
-	if clu == nil {
-		return nil, nil, peerSkip
-	}
-	owner := clu.ring.Owner(key)
-	if owner.ID == clu.self.ID {
-		return nil, nil, peerSkip
-	}
-
-	pctx, span := trace.Start(ctx, "peer-lookup")
-	var tp string
-	if span != nil {
-		span.SetStr("peer", owner.ID)
-		tp = trace.Traceparent(span.TraceID(), span.IDHex())
-		defer span.End()
-	}
-	defer recordStage(ctx, stageForward, time.Now())
-	cctx, cancel := context.WithTimeout(pctx, s.EffectiveTimeout(req.TimeoutMS)+peerLookupGrace)
-	defer cancel()
-	lreq := &cluster.ParetoLookupRequest{ParetoProblem: clusterParetoProblem(key, canon, dims, req), TimeoutMS: req.TimeoutMS}
-	resp, err := clu.client.ParetoLookup(cctx, owner, lreq, tp)
-	if err != nil {
-		var perr *cluster.PeerError
-		if errors.As(err, &perr) && perr.Status == http.StatusUnprocessableEntity {
-			s.met.peerForwardMiss.Add(1)
-			if span != nil {
-				span.SetStr("disposition", "infeasible")
-			}
-			return nil, fmt.Errorf("%w (decided by peer %s)", schedule.ErrNoSchedule, owner.ID), peerDone
-		}
-		s.met.peerForwardErrors.Add(1)
-		if span != nil {
-			span.SetStr("error", err.Error())
-		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err(), peerDone
-		}
-		return nil, nil, peerFailed
-	}
-	res, err := s.paretoFromWire(cctx, canon.Algo, dims, &resp.Result)
-	if err != nil {
-		s.met.peerForwardErrors.Add(1)
-		if span != nil {
-			span.SetStr("error", err.Error())
-		}
-		return nil, nil, peerFailed
-	}
-	switch resp.Disposition {
-	case cluster.DispositionHit:
-		s.met.peerForwardHit.Add(1)
-	case cluster.DispositionShared:
-		s.met.peerForwardShared.Add(1)
-	default:
-		s.met.peerForwardMiss.Add(1)
-	}
-	if span != nil {
-		span.SetStr("disposition", resp.Disposition)
-	}
-	s.cache.Add(key, res, estimateParetoBytes(key, res))
-	return &paretoFlightOutcome{res: res, viaPeer: true, peerDisposition: resp.Disposition}, nil, peerDone
-}
-
-// fillParetoOwnerAsync pushes a locally-searched front to its ring
-// owner after a failed forward, like fillOwnerAsync.
-func (s *Service) fillParetoOwnerAsync(key string, canon *Canonical, dims int, req *ParetoRequest, res *schedule.ParetoResult) {
-	clu := s.clu
-	if clu == nil {
-		return
-	}
-	owner := clu.ring.Owner(key)
-	if owner.ID == clu.self.ID {
-		return
-	}
-	done, err := s.begin()
-	if err != nil {
-		return
-	}
-	freq := &cluster.ParetoFillRequest{ParetoProblem: clusterParetoProblem(key, canon, dims, req), Result: *wireFromPareto(res)}
-	go func() {
-		defer done()
-		ctx, cancel := context.WithTimeout(context.Background(), clu.fillTimeout)
-		defer cancel()
-		if err := clu.client.ParetoFill(ctx, owner, freq); err != nil {
-			s.met.peerFillSendErrs.Add(1)
-			return
-		}
-		s.met.peerFillsSent.Add(1)
-	}()
-}
-
-// PeerParetoLookup answers one forwarded front problem as its ring
-// owner, sharing the flight group with origin /v1/pareto requests.
-func (s *Service) PeerParetoLookup(ctx context.Context, lreq *cluster.ParetoLookupRequest) (*cluster.ParetoLookupResponse, error) {
-	done, err := s.begin()
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-
-	canon, dims, req, key, err := s.problemFromParetoWire(&lreq.ParetoProblem)
-	if err != nil {
-		return nil, err
-	}
-	req.TimeoutMS = lreq.TimeoutMS
-	if v, ok := s.cache.Get(key); ok {
-		s.met.peerServedHit.Add(1)
-		return &cluster.ParetoLookupResponse{Disposition: cluster.DispositionHit, Result: *wireFromPareto(v.(*schedule.ParetoResult))}, nil
-	}
-
-	fctx, fspan := trace.Start(ctx, "flight")
-	flightStart := time.Now()
-	v, err, leader, mark := s.flights.DoMarked(fctx, key, func(fc context.Context) (any, error) {
-		return s.runParetoSearch(fc, key, canon, dims, req, false)
-	})
-	if !leader {
-		s.recordFollowerWait(ctx, mark, flightStart)
-	}
-	if fspan != nil {
-		role := "follower"
-		if leader {
-			role = "leader"
-		}
-		fspan.SetStr("role", role)
-		if err != nil {
-			fspan.SetStr("error", err.Error())
-		}
-		fspan.End()
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := v.(*paretoFlightOutcome)
-	disposition := cluster.DispositionShared
-	switch {
-	case !leader:
-		s.met.peerServedShared.Add(1)
-	case out.fromCache:
-		disposition = cluster.DispositionHit
-		s.met.peerServedHit.Add(1)
-	default:
-		disposition = cluster.DispositionMiss
-		s.met.peerServedMiss.Add(1)
-	}
-	return &cluster.ParetoLookupResponse{Disposition: disposition, Result: *wireFromPareto(out.res)}, nil
-}
-
-// PeerParetoFill accepts a best-effort front push, fully re-certified
-// before it enters the cache.
-func (s *Service) PeerParetoFill(ctx context.Context, freq *cluster.ParetoFillRequest) (*cluster.ParetoFillResponse, error) {
-	done, err := s.begin()
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-
-	canon, dims, _, key, err := s.problemFromParetoWire(&freq.ParetoProblem)
-	if err != nil {
-		s.met.peerFillsRejected.Add(1)
-		return nil, err
-	}
-	res, err := s.paretoFromWire(ctx, canon.Algo, dims, &freq.Result)
-	if err != nil {
-		s.met.peerFillsRejected.Add(1)
-		return nil, &BadRequestError{Err: err}
-	}
-	s.cache.Add(key, res, estimateParetoBytes(key, res))
-	s.met.peerFillsRecv.Add(1)
-	return &cluster.ParetoFillResponse{Stored: true}, nil
-}
-
-// clusterParetoProblem serializes a canonical front problem for the
-// peer protocol.
-func clusterParetoProblem(key string, canon *Canonical, dims int, req *ParetoRequest) cluster.ParetoProblem {
-	algo := canon.Algo
-	deps := make([][]int64, algo.NumDeps())
-	for c := range deps {
-		deps[c] = algo.D.Col(c)
-	}
-	return cluster.ParetoProblem{
-		Key:          key,
-		Bounds:       algo.Set.Upper,
-		Dependencies: deps,
-		Dims:         dims,
-		MaxEntry:     req.MaxEntry,
-		MaxCost:      req.MaxCost,
-		TimeSlack:    req.TimeSlack,
-	}
-}
-
-// problemFromParetoWire rebuilds and verifies a peer-supplied front
-// problem: full request validation, re-canonicalization, and the
-// recomputed key must match the wire key.
-func (s *Service) problemFromParetoWire(p *cluster.ParetoProblem) (*Canonical, int, *ParetoRequest, string, error) {
-	if p.Key == "" {
-		return nil, 0, nil, "", badRequest("service: peer pareto problem carries no key")
-	}
-	req := &ParetoRequest{
-		Bounds:       p.Bounds,
-		Dependencies: p.Dependencies,
-		Dims:         p.Dims,
-		MaxEntry:     p.MaxEntry,
-		MaxCost:      p.MaxCost,
-		TimeSlack:    p.TimeSlack,
-	}
-	algo, dims, _, err := validateParetoRequest(req)
-	if err != nil {
-		return nil, 0, nil, "", err
-	}
-	canon := Canonicalize(algo)
-	key := paretoCacheKey(canon.Key, dims, req)
-	if key != p.Key {
-		return nil, 0, nil, "", badRequest("service: peer pareto key %q does not match recomputed key %q", p.Key, key)
-	}
-	return canon, dims, req, key, nil
-}
-
-// wireFromPareto flattens a canonical front for the peer protocol.
-func wireFromPareto(res *schedule.ParetoResult) *cluster.ParetoWireResult {
+// toWire flattens a canonical front for the peer protocol.
+func (paretoWork) toWire(v any) any {
+	res := v.(*schedule.ParetoResult)
 	members := make([]cluster.ParetoWireMember, len(res.Front))
 	for i, m := range res.Front {
 		members[i] = cluster.ParetoWireMember{
@@ -601,19 +308,28 @@ func wireFromPareto(res *schedule.ParetoResult) *cluster.ParetoWireResult {
 	}
 }
 
-// paretoFromWire revalidates a peer-supplied front end to end and
+// fromWire decodes a peer-supplied front, revalidates it end to end and
 // reassembles the canonical ParetoResult. The revalidation IS the
 // Pareto verifier: every member independently re-certified, every
 // objective vector recomputed, the window, non-domination and pinned
 // order re-checked — so a buggy or malicious peer cannot plant an
 // invalid member, a dominated vector, or a misordered front.
-func (s *Service) paretoFromWire(ctx context.Context, canonAlgo *uda.Algorithm, dims int, w *cluster.ParetoWireResult) (*schedule.ParetoResult, error) {
+func (pw paretoWork) fromWire(ctx context.Context, raw json.RawMessage) (any, error) {
+	var w cluster.ParetoWireResult
+	if err := decodeJSONBytes(raw, &w); err != nil {
+		return nil, err
+	}
+	canonAlgo, dims := pw.canon.Algo, pw.dims
 	if len(w.Members) == 0 {
 		return nil, errors.New("service: peer front is empty")
 	}
 	n := canonAlgo.Dim()
-	front := make([]schedule.ParetoMember, len(w.Members))
-	inputs := make([]verify.ParetoInput, len(w.Members))
+	res := &schedule.ParetoResult{
+		Front:      make([]schedule.ParetoMember, len(w.Members)),
+		TimeBound:  w.TimeBound,
+		Candidates: w.Candidates,
+		Pruned:     w.Pruned,
+	}
 	for i := range w.Members {
 		wm := &w.Members[i]
 		if len(wm.S) != dims {
@@ -631,29 +347,19 @@ func (s *Service) paretoFromWire(ctx context.Context, canonAlgo *uda.Algorithm, 
 		if err != nil {
 			return nil, fmt.Errorf("service: peer front member %d rejected: %w", i, err)
 		}
-		front[i] = schedule.ParetoMember{Mapping: m, Vector: schedule.ObjectiveVector(wm.Vector)}
-		inputs[i] = verify.ParetoInput{S: m.S, Pi: m.Pi, Vector: [verify.ParetoAxes]int64(wm.Vector)}
+		res.Front[i] = schedule.ParetoMember{Mapping: m, Vector: schedule.ObjectiveVector(wm.Vector)}
 	}
-	cert, err := verify.CertifyPareto(ctx, canonAlgo, inputs, w.TimeBound, &verify.Options{SkipOptimality: true})
-	if err != nil {
-		return nil, fmt.Errorf("service: peer front certification: %w", err)
+	if err := certifyFront(ctx, canonAlgo, res); err != nil {
+		return nil, fmt.Errorf("service: peer front rejected: %w", err)
 	}
-	if cerr := cert.Err(); cerr != nil {
-		return nil, fmt.Errorf("service: peer front rejected: %w", cerr)
-	}
-	return &schedule.ParetoResult{
-		Front:      front,
-		Best:       0,
-		TimeBound:  w.TimeBound,
-		Candidates: w.Candidates,
-		Pruned:     w.Pruned,
-	}, nil
+	return res, nil
 }
 
-// estimateParetoBytes approximates the resident size of one cached
-// front, like estimateResultBytes per member.
-func estimateParetoBytes(key string, res *schedule.ParetoResult) int64 {
-	b := int64(len(key)) + 512
+// size approximates the resident size of one cached front, like
+// mapWork.size per member.
+func (pw paretoWork) size(v any) int64 {
+	res := v.(*schedule.ParetoResult)
+	b := int64(len(pw.key)) + 512
 	for _, m := range res.Front {
 		if m.Mapping == nil {
 			continue

@@ -410,9 +410,14 @@ func TestPeerParetoFillRevalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fill, err := svc.PeerParetoFill(context.Background(), &cluster.ParetoFillRequest{
-		ParetoProblem: clusterParetoProblem(key, canon, dims, &req),
-		Result:        *wireFromPareto(res),
+	w := newParetoWork(canon, dims, &req)
+	raw, err := encodeWire(w, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill, err := svc.PeerFill(context.Background(), &cluster.FillRequest{
+		Problem: w.wire(),
+		Result:  raw,
 	})
 	if err != nil {
 		t.Fatalf("valid fill rejected: %v", err)
@@ -429,13 +434,17 @@ func TestPeerParetoFillRevalidation(t *testing.T) {
 	}
 
 	// A doctored objective vector must not survive revalidation.
-	doctored := *wireFromPareto(res)
+	doctored := *w.toWire(res).(*cluster.ParetoWireResult)
 	doctored.Members = append([]cluster.ParetoWireMember(nil), doctored.Members...)
 	doctored.Members[0].Vector[2]++
 	svc.FlushCache()
-	if _, err := svc.PeerParetoFill(context.Background(), &cluster.ParetoFillRequest{
-		ParetoProblem: clusterParetoProblem(key, canon, dims, &req),
-		Result:        doctored,
+	raw, err = json.Marshal(&doctored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.PeerFill(context.Background(), &cluster.FillRequest{
+		Problem: w.wire(),
+		Result:  raw,
 	}); err == nil {
 		t.Error("doctored fill accepted")
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"lodim/internal/cli"
+	"lodim/internal/cluster"
 	"lodim/internal/conflict"
 	"lodim/internal/intmat"
 	"lodim/internal/jobs"
@@ -29,7 +30,7 @@ const (
 	maxRequestDim  = 12      // algorithm dimension n
 	maxRequestDeps = 64      // dependence count m
 	maxIndexPoints = 1 << 20 // |J| ceiling for simulate/conflict enumeration
-	maxBound       = 1 << 20 // single μ_i ceiling
+	maxBound       = 1 << 20 // single μ_i ceiling, and the |d_ij| ceiling
 )
 
 // Config sizes the service.
@@ -525,6 +526,15 @@ func algoFromRequest(name string, sizes, bounds []int64, deps [][]int64) (*uda.A
 			return nil, badRequest("service: bound μ_%d = %d exceeds the limit %d", i+1, u, maxBound)
 		}
 	}
+	// Dependence entries feed ΠD, the HNF and every witness; bounding
+	// them keeps that arithmetic far from int64 overflow.
+	for c := 0; c < algo.NumDeps(); c++ {
+		for i := 0; i < algo.Dim(); i++ {
+			if d := algo.D.At(i, c); d > maxBound || d < -maxBound {
+				return nil, badRequest("service: dependence %d entry %d = %d exceeds the limit ±%d", c+1, i+1, d, maxBound)
+			}
+		}
+	}
 	return algo, nil
 }
 
@@ -561,10 +571,8 @@ func mapCacheKey(canonKey string, dims int, req *MapRequest) string {
 	return fmt.Sprintf("%s|dims=%d|me=%d|ww=%d|mc=%d", canonKey, dims, req.MaxEntry, req.WireWeight, req.MaxCost)
 }
 
-// Map answers a joint-mapping query: canonical cache first, then a
-// singleflight-deduplicated flight that either forwards to the key's
-// ring owner (clustered, non-owner) or runs the admission-controlled
-// search in canonical coordinates, translated back to the caller's
+// Map answers a joint-mapping query through the workload path (see
+// workload.go), translating the canonical result back to the caller's
 // axis order.
 func (s *Service) Map(ctx context.Context, req *MapRequest) (*MapResponse, CacheStatus, error) {
 	done, err := s.begin()
@@ -579,64 +587,13 @@ func (s *Service) Map(ctx context.Context, req *MapRequest) (*MapResponse, Cache
 	}
 
 	canonStart := time.Now()
-	canon := Canonicalize(algo)
-	key := mapCacheKey(canon.Key, dims, req)
+	w := newMapWork(Canonicalize(algo), dims, req)
 	recordStage(ctx, stageCanonicalize, canonStart)
-	if v, ok := s.cache.Get(key); ok {
-		s.met.cacheHits.Add(1)
-		return s.mapResponse(ctx, algo, canon, key, dims, v.(*schedule.JointResult)), CacheHit, nil
-	}
-
-	// The flight context — not the request context — drives the search:
-	// it stays alive as long as any waiter (this request or one that
-	// joined the flight) still wants the result.
-	fctx, fspan := trace.Start(ctx, "flight")
-	flightStart := time.Now()
-	v, err, leader, mark := s.flights.DoMarked(fctx, key, func(fc context.Context) (any, error) {
-		return s.runSearch(fc, key, canon, dims, req, true)
-	})
-	if !leader {
-		s.recordFollowerWait(ctx, mark, flightStart)
-	}
-	if fspan != nil {
-		role := "follower"
-		if leader {
-			role = "leader"
-		}
-		fspan.SetStr("role", role)
-		if err != nil {
-			fspan.SetStr("error", err.Error())
-		}
-		fspan.End()
-	}
+	res, status, err := s.resolve(ctx, w)
 	if err != nil {
-		status := CacheShared
-		if leader {
-			status = CacheMiss
-			s.met.cacheMisses.Add(1)
-		}
 		return nil, status, err
 	}
-	out := v.(*flightOutcome)
-	status := CacheShared
-	switch {
-	case leader && out.fromCache:
-		// The flight landed on an already-cached result (another
-		// flight completed between our cache lookup and leadership) —
-		// report it as the hit it is.
-		status = CacheHit
-		s.met.cacheHits.Add(1)
-	case leader && out.viaPeer:
-		// The ring owner answered; report its disposition so clients
-		// (and the load driver) can tell a cluster-wide hit from a
-		// search. Local hit/miss counters stay untouched — they measure
-		// this node's cache; the peer_forward_* counters measure this.
-		status = CacheStatus("peer_" + out.peerDisposition)
-	case leader:
-		status = CacheMiss
-		s.met.cacheMisses.Add(1)
-	}
-	return s.mapResponse(ctx, algo, canon, key, dims, out.res), status, nil
+	return s.mapResponse(ctx, algo, w.canon, w.key, dims, res.(*schedule.JointResult)), status, nil
 }
 
 // mapResponse is buildMapResponse with the translate stage recorded
@@ -646,15 +603,33 @@ func (s *Service) mapResponse(ctx context.Context, algo *uda.Algorithm, canon *C
 	return buildMapResponse(algo, canon, key, dims, res)
 }
 
-// flightOutcome is what a map flight resolves to: the canonical search
-// result, plus how it was produced — from the local cache, from the
-// key's ring owner (viaPeer, with the owner's own disposition), or by
-// searching here.
-type flightOutcome struct {
-	res             *schedule.JointResult
-	fromCache       bool
-	viaPeer         bool
-	peerDisposition string // cluster.Disposition* when viaPeer
+// mapWork is the map workload: the joint (S, Π) search of Problem 6.2.
+// Its wire codec and revalidation live in cluster.go.
+type mapWork struct{ *workProblem }
+
+func newMapWork(canon *Canonical, dims int, req *MapRequest) mapWork {
+	return mapWork{&workProblem{
+		kind:       cluster.KindMap,
+		canon:      canon,
+		dims:       dims,
+		key:        mapCacheKey(canon.Key, dims, req),
+		maxEntry:   req.MaxEntry,
+		wireWeight: req.WireWeight,
+		maxCost:    req.MaxCost,
+		timeoutMS:  req.TimeoutMS,
+	}}
+}
+
+func (w mapWork) search(ctx context.Context, s *Service) (any, *schedule.SearchStats, error) {
+	res, err := s.searchJoint(ctx, w.canon.Algo, w.dims, &schedule.SpaceOptions{
+		MaxEntry:   w.maxEntry,
+		WireWeight: w.wireWeight,
+		Schedule:   schedule.Options{MaxCost: w.maxCost, Workers: s.cfg.SearchWorkers},
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, res.Stats, nil
 }
 
 // recordFollowerWait books a follower's time inside flights.DoMarked
@@ -688,75 +663,6 @@ func (s *Service) recordFollowerWait(ctx context.Context, mark *flightMark, join
 			tm.record(stageSearch, now.Sub(joined))
 		}
 	}
-}
-
-// runSearch is the body of a map flight: re-check the cache, forward
-// to the key's ring owner when another node owns it (allowForward),
-// otherwise acquire a pool slot and search in canonical coordinates,
-// caching the result. ctx is the flight context — cancelled only when
-// every waiter on this flight has detached.
-//
-// allowForward is false for flights opened by the peer-lookup handler:
-// an owner answers locally even when its membership view disagrees, so
-// a forward chain is at most origin → owner and can never loop.
-func (s *Service) runSearch(ctx context.Context, key string, canon *Canonical, dims int, req *MapRequest, allowForward bool) (*flightOutcome, error) {
-	// An earlier flight may have landed between the caller's cache
-	// lookup and taking flight leadership — don't search (or forward)
-	// twice. Checked before admission: a hit needs no pool slot.
-	if v, ok := s.cache.Get(key); ok {
-		return &flightOutcome{res: v.(*schedule.JointResult), fromCache: true}, nil
-	}
-	fellBack := false
-	if allowForward {
-		out, err, verdict := s.tryPeerLookup(ctx, key, canon, dims, req)
-		switch verdict {
-		case peerDone:
-			return out, err
-		case peerFailed:
-			// Owner unreachable or answered garbage: degrade to a local
-			// search so one dead node never takes its keys down, then
-			// push the result to the owner for cluster convergence.
-			fellBack = true
-		}
-	}
-	// ctx descends (via context.WithoutCancel) from the flight leader's
-	// request context, so its stage timer — when the request came over
-	// HTTP — is visible here even though the flight may outlive the
-	// leader's deadline. The timer's atomics make the late writes safe.
-	queueStart := time.Now()
-	release, err := s.acquire(ctx)
-	recordStage(ctx, stageQueue, queueStart)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if v, ok := s.cache.Get(key); ok {
-		return &flightOutcome{res: v.(*schedule.JointResult), fromCache: true}, nil
-	}
-	s.met.searches.Add(1)
-	// Stamp the flight mark so followers can split their wait into
-	// queue-versus-search at the moment the search truly began.
-	if fm := markFrom(ctx); fm != nil {
-		fm.searchStartNs.CompareAndSwap(0, time.Now().UnixNano())
-	}
-	opts := &schedule.SpaceOptions{
-		MaxEntry:   req.MaxEntry,
-		WireWeight: req.WireWeight,
-		Schedule:   schedule.Options{MaxCost: req.MaxCost, Workers: s.cfg.SearchWorkers},
-	}
-	start := time.Now()
-	res, err := s.searchJoint(ctx, canon.Algo, dims, opts)
-	s.met.observeSearch(time.Since(start), trace.FromContext(ctx).TraceID())
-	recordStage(ctx, stageSearch, start)
-	if err != nil {
-		return nil, err
-	}
-	s.met.observeSearchStats(res.Stats)
-	s.cache.Add(key, res, estimateResultBytes(key, res))
-	if fellBack {
-		s.fillOwnerAsync(key, canon, dims, req, res)
-	}
-	return &flightOutcome{res: res}, nil
 }
 
 // buildMapResponse translates a canonical-coordinate result into the

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -359,7 +358,7 @@ func TestRunSearchReportsCacheLanding(t *testing.T) {
 	// …then drive the flight body directly with the search engine
 	// booby-trapped: it must come back from the cache without searching.
 	s.searchJoint = func(context.Context, *uda.Algorithm, int, *schedule.SpaceOptions) (*schedule.JointResult, error) {
-		t.Error("runSearch searched despite a cached result")
+		t.Error("runFlight searched despite a cached result")
 		return nil, errors.New("unreachable")
 	}
 	algo, err := algoFromRequest(req.Algorithm, req.Sizes, nil, nil)
@@ -367,8 +366,7 @@ func TestRunSearchReportsCacheLanding(t *testing.T) {
 		t.Fatal(err)
 	}
 	canon := Canonicalize(algo)
-	key := fmt.Sprintf("%s|dims=%d|me=%d|ww=%d|mc=%d", canon.Key, 1, 0, 0, 0)
-	out, err := s.runSearch(context.Background(), key, canon, 1, req, true)
+	out, err := s.runFlight(context.Background(), newMapWork(canon, 1, req), true)
 	if err != nil {
 		t.Fatal(err)
 	}

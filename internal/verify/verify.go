@@ -319,7 +319,10 @@ func Certify(algo *uda.Algorithm, s *intmat.Matrix, pi intmat.Vector, opts *Opti
 // becomes a child span when the context carries an active trace; the
 // engine itself stays uninterruptible because every stage is budgeted
 // (EnumBudget, BruteForceLimit, SimulateLimit) rather than unbounded.
-func CertifyContext(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix, pi intmat.Vector, opts *Options) (*Certificate, error) {
+func CertifyContext(ctx context.Context, algo *uda.Algorithm, s *intmat.Matrix, pi intmat.Vector, opts *Options) (_ *Certificate, err error) {
+	// Caller-supplied Π, S and μ can push a witness computation past
+	// int64: that is an error on this input, not a crash.
+	defer intmat.Guard(&err)
 	opt := opts.withDefaults()
 	ctx, span := trace.Start(ctx, "certify")
 	defer span.End()
